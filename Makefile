@@ -32,7 +32,9 @@ race:
 # in-progress recovery round, the blocked-scope-peer drain (the naive
 # pre-kill drain deadlock regression), and the E6 store-fault sweep
 # (shard kills ordered in virtual time during recovery; shared/sharded/
-# ec/replica survival outcomes must be byte-identical run-to-run).
+# ec/replica survival outcomes must be byte-identical run-to-run), and the
+# delivery plane's scripted differential test against its closed-form
+# oracle (TestPlaneMatchesOracleSchedulingIndependent).
 determinism:
 	$(GO) test -race -count=2 -run 'Reproducible|ByteStable|SchedulingIndependent|AwaitTurn' ./internal/harness/ ./internal/transport/ ./internal/mpi/
 

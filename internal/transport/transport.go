@@ -33,13 +33,20 @@
 // delivery in real time, never reorder it.
 //
 // Because any source can send to any destination, the transitive bound has
-// a closed form: with m1 the smallest "self cap" over all sources (a
-// running source's frontier; a blocked source's max(frontier, queue head)),
-// a blocked source's bound is max(frontier, min(queueHead, m1+minLat)), and
-// the cap-minimal source's bound is exactly its cap. One O(sources) refresh
-// after each plane mutation recomputes every bound and wakes exactly the
-// waiters whose condition now holds — no broadcast herds, and no hand-made
-// wake-up edges to get wrong.
+// a closed form. Let a source's self cap be its frontier while it runs or is
+// dead, max(frontier, queue head) while it is blocked (inf with an empty
+// queue) and inf while it is idle; let m1 be the smallest cap and T =
+// m1 + minLat. Every source's bound is then clamp(T, lo, hi) =
+// max(lo, min(T, hi)), with lo = frontier and hi = cap for a blocked source
+// (it can only act after delivering something, which arrives no earlier than
+// its own head or the earliest stamp the rest of the plane can emit) and
+// lo = hi = cap otherwise; the idle latent recovery source (DeclareRecovery)
+// is bounded by m1 itself. The plane keeps each source's (lo, hi) span in a
+// tournament tree, so a mutation moves one leaf and the smallest bounds come
+// from an O(log sources) descent, and it indexes parked waiters by the
+// delivery key their gate compares, so a mutation signals exactly the
+// waiters whose condition it made true without looking at the others — no
+// broadcast herds, and no hand-made wake-up edges to get wrong.
 //
 // Progress requires strictly positive lookahead, so the network enforces a
 // minimum virtual latency of 1ns per hop (zero-cost models otherwise admit
@@ -64,10 +71,12 @@
 package transport
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"hydee/internal/netmodel"
@@ -222,6 +231,9 @@ func (h *msgHeap) Pop() any {
 type Endpoint struct {
 	id int
 	n  *Network
+	// pos is the endpoint's index in the id-sorted Network.epList, and so
+	// its leaf in the bound tree.
+	pos int
 
 	q    msgHeap
 	dead bool
@@ -237,9 +249,6 @@ type Endpoint struct {
 
 	state    srcState
 	frontier vtime.Time
-	// bound is the action bound computed by the last refresh: no send or
-	// checkpoint write by this source can be issued before it.
-	bound vtime.Time
 
 	// cond parks this endpoint's goroutine (shared delivery-plane lock);
 	// waiting/turnVT describe what it waits for.
@@ -247,10 +256,31 @@ type Endpoint struct {
 	waiting waitKind
 	turnVT  vtime.Time
 
-	// chArrive / chSeq track, per source, the last clamped arrival time and
-	// the channel sequence counter (FIFO-consistency of the key order).
-	chArrive map[int]vtime.Time
-	chSeq    map[int]uint64
+	// Wake-index membership while parked and not yet signalled: key is the
+	// delivery key the waiter's gate compares, keySrc the endpoint whose
+	// keyed heap holds it (nil for an unregistered source), hidx its
+	// positions in Network.waiters and keySrc.keyed (-1 when absent).
+	// wokenIdx is its position in Network.woken once signalled since it
+	// parked (-1 otherwise).
+	key      waitKey
+	keySrc   *Endpoint
+	hidx     [2]int
+	wokenIdx int
+	// keyed holds the parked waiters whose key comes from this endpoint:
+	// their gate skips this source's own bound.
+	keyed waitHeap
+
+	// chans holds the state of every channel into this endpoint, by source.
+	chans map[int]channel
+}
+
+// channel is the state of one (src, dst) FIFO channel, kept by dst: the
+// last clamped arrival time and the sequence counter (FIFO-consistency of
+// the key order), and the App traffic accounting of the pair.
+type channel struct {
+	arrive vtime.Time
+	seq    uint64
+	stat   PairStat
 }
 
 func newEndpoint(n *Network, id int, state srcState) *Endpoint {
@@ -259,8 +289,10 @@ func newEndpoint(n *Network, id int, state srcState) *Endpoint {
 		n:        n,
 		state:    state,
 		doomVT:   infTime,
-		chArrive: make(map[int]vtime.Time),
-		chSeq:    make(map[int]uint64),
+		hidx:     [2]int{-1, -1},
+		wokenIdx: -1,
+		keyed:    waitHeap{slot: 1},
+		chans:    make(map[int]channel),
 	}
 	e.cond = sync.NewCond(&n.dmu)
 	return e
@@ -268,6 +300,26 @@ func newEndpoint(n *Network, id int, state srcState) *Endpoint {
 
 // ID reports the endpoint's identifier.
 func (e *Endpoint) ID() int { return e.id }
+
+// woken reports whether e's parked goroutine has been signalled since it
+// parked.
+func (e *Endpoint) woken() bool { return e.wokenIdx >= 0 }
+
+// span is the endpoint's (lo, hi) pair in the bound tree: its bound is
+// clamp(T, lo, hi) for the plane's lookahead target T (see the package
+// comment). hi is the self cap.
+func (e *Endpoint) span() (lo, hi vtime.Time) {
+	switch e.state {
+	case stRunning, stDead:
+		return e.frontier, e.frontier
+	case stBlocked:
+		if len(e.q) == 0 {
+			return e.frontier, infTime
+		}
+		return e.frontier, max(e.frontier, e.q[0].ArriveVT)
+	}
+	return infTime, infTime
+}
 
 // Recv blocks until the earliest message in virtual-time key order is
 // deliverable — i.e. no in-flight sender can still produce an earlier stamp
@@ -282,41 +334,57 @@ func (e *Endpoint) Recv(now vtime.Time) (*Msg, error) {
 	if e.dead {
 		return nil, ErrKilled
 	}
-	// Commit to the blocked state BEFORE evaluating the gate: the caller
-	// cannot send until this Recv returns, and the transitive bounds must
-	// reflect that — evaluating while still marked running would let the
-	// receiver's own stale frontier hold the plane's bounds below its
-	// head's stamp and fail a check its own blocking satisfies.
-	changed := e.state != stBlocked
+	e.blockLocked(now)
+	for {
+		if m, ok, err := e.pollLocked(now); ok {
+			return m, err
+		}
+		n.parkLocked(e, wRecv)
+		e.cond.Wait()
+		n.unparkLocked(e)
+	}
+}
+
+// blockLocked commits e to the blocked state at clock now. Recv does it
+// BEFORE evaluating the gate: the caller cannot send until Recv returns,
+// and the transitive bounds must reflect that — evaluating while still
+// marked running would let the receiver's own stale frontier hold the
+// plane's bounds below its head's stamp and fail a check its own blocking
+// satisfies.
+func (e *Endpoint) blockLocked(now vtime.Time) {
+	if e.state == stBlocked && e.frontier >= now {
+		return
+	}
 	e.state = stBlocked
 	if e.frontier < now {
 		e.frontier = now
-		changed = true
 	}
-	if changed {
-		n.refreshLocked()
+	e.n.updateLocked(e)
+	e.n.refreshLocked(nil)
+}
+
+// pollLocked is one evaluation of a blocked Recv. ok reports that the wait
+// is over, with the delivered message or ErrKilled; otherwise the caller
+// parks until the plane signals it.
+func (e *Endpoint) pollLocked(now vtime.Time) (m *Msg, ok bool, err error) {
+	n := e.n
+	if e.dead {
+		return nil, true, ErrKilled
 	}
-	for {
-		if e.dead {
-			return nil, ErrKilled
+	if len(e.q) > 0 && n.gatePassLocked(e, e.q[0]) {
+		if n.pastFenceLocked(e, e.q[0]) {
+			// The gate proves the next delivery would happen past the
+			// death fence; the process is dead by then.
+			return nil, true, e.reapLocked()
 		}
-		if len(e.q) > 0 && n.gatePassLocked(e, e.q[0]) {
-			if n.pastFenceLocked(e, e.q[0]) {
-				// The gate proves the next delivery would happen past the
-				// death fence; the process is dead by then.
-				return nil, e.reapLocked()
-			}
-			m := heap.Pop(&e.q).(*Msg)
-			e.deliveredLocked(m, now)
-			return m, nil
-		}
-		if n.doomReapLocked(e) {
-			return nil, e.reapLocked()
-		}
-		e.waiting = wRecv
-		e.cond.Wait()
-		e.waiting = wNone
+		m := heap.Pop(&e.q).(*Msg)
+		e.deliveredLocked(m, now)
+		return m, true, nil
 	}
+	if n.doomReapLocked(e) {
+		return nil, true, e.reapLocked()
+	}
+	return nil, false, nil
 }
 
 // pastFenceLocked reports whether delivering m to the doomed endpoint e
@@ -338,7 +406,8 @@ func (n *Network) pastFenceLocked(e *Endpoint, m *Msg) bool {
 func (e *Endpoint) reapLocked() error {
 	if !e.dead && e.state != stIdle {
 		e.state = stIdle
-		e.n.refreshLocked()
+		e.n.updateLocked(e)
+		e.n.refreshLocked(nil)
 	}
 	return ErrKilled
 }
@@ -357,7 +426,8 @@ func (e *Endpoint) deliveredLocked(m *Msg, now vtime.Time) {
 	if f > e.frontier {
 		e.frontier = f
 	}
-	e.n.refreshLocked()
+	e.n.updateLocked(e)
+	e.n.refreshLocked(e)
 }
 
 // TryRecv returns the earliest deliverable message without blocking. ok
@@ -371,7 +441,8 @@ func (e *Endpoint) TryRecv(now vtime.Time) (m *Msg, ok bool, err error) {
 	}
 	if e.frontier < now {
 		e.frontier = now
-		n.refreshLocked()
+		n.updateLocked(e)
+		n.refreshLocked(nil)
 	}
 	if len(e.q) == 0 || !n.gatePassLocked(e, e.q[0]) {
 		if n.doomReapLocked(e) {
@@ -419,10 +490,131 @@ func (r boundRef) less(s boundRef) bool {
 	return r.b < s.b || (r.b == s.b && r.id < s.id)
 }
 
+// insertLow enters r into the sorted triple low if it sorts before the
+// third entry, dropping that entry.
+func insertLow(low *[3]boundRef, r boundRef) {
+	for k := range low {
+		if r.less(low[k]) {
+			copy(low[k+1:], low[k:2])
+			low[k] = r
+			return
+		}
+	}
+}
+
+// waitKey is the (arrival, source) delivery key a parked waiter's gate
+// compares with the plane's bounds: its queue head for Recv, and
+// (turnVT+minLat, own id) for AwaitTurn — a turn at vt is granted exactly
+// when a message from the waiter itself arriving one hop after vt would be.
+type waitKey struct {
+	a   vtime.Time
+	src int
+}
+
+// waitHeap is a min-heap of parked waiters by key; slot selects which of
+// the endpoints' two heap positions (Endpoint.hidx) it maintains.
+type waitHeap struct {
+	es   []*Endpoint
+	slot int
+}
+
+func (h *waitHeap) Len() int { return len(h.es) }
+func (h *waitHeap) Less(i, j int) bool {
+	a, b := h.es[i].key, h.es[j].key
+	return a.a < b.a || (a.a == b.a && a.src < b.src)
+}
+func (h *waitHeap) Swap(i, j int) {
+	h.es[i], h.es[j] = h.es[j], h.es[i]
+	h.es[i].hidx[h.slot] = i
+	h.es[j].hidx[h.slot] = j
+}
+func (h *waitHeap) Push(x any) {
+	e := x.(*Endpoint)
+	e.hidx[h.slot] = len(h.es)
+	h.es = append(h.es, e)
+}
+func (h *waitHeap) Pop() any {
+	old := h.es
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	h.es = old[:len(old)-1]
+	e.hidx[h.slot] = -1
+	return e
+}
+
+// boundTree is an array-backed tournament tree over the endpoints in
+// epList (id) order. Leaf p holds endpoint p's span (inf, inf for padding);
+// every node holds the minimum lo and the minimum hi over its subtree, each
+// with the leftmost leaf attaining it — so the root's hi is the plane's
+// smallest cap m1 and its hiArg the first endpoint attaining it.
+type boundTree struct {
+	size         int // leaves: a power of two >= the endpoint count
+	lo, hi       []vtime.Time
+	loArg, hiArg []int32
+}
+
+// newBoundTree builds the tree over eps, numbering each endpoint's leaf.
+func newBoundTree(eps []*Endpoint) boundTree {
+	size := 1
+	for size < len(eps) {
+		size <<= 1
+	}
+	t := boundTree{
+		size:  size,
+		lo:    make([]vtime.Time, 2*size),
+		hi:    make([]vtime.Time, 2*size),
+		loArg: make([]int32, 2*size),
+		hiArg: make([]int32, 2*size),
+	}
+	for p := 0; p < size; p++ {
+		i := size + p
+		t.lo[i], t.hi[i] = infTime, infTime
+		if p < len(eps) {
+			eps[p].pos = p
+			t.lo[i], t.hi[i] = eps[p].span()
+		}
+		t.loArg[i], t.hiArg[i] = int32(p), int32(p)
+	}
+	for i := size - 1; i > 0; i-- {
+		t.pull(i)
+	}
+	return t
+}
+
+// pull recomputes inner node i from its children (ties go left, to the
+// smaller ids) and reports whether the node changed.
+func (t *boundTree) pull(i int) bool {
+	l, r := 2*i, 2*i+1
+	lo, loArg := t.lo[l], t.loArg[l]
+	if t.lo[r] < lo {
+		lo, loArg = t.lo[r], t.loArg[r]
+	}
+	hi, hiArg := t.hi[l], t.hiArg[l]
+	if t.hi[r] < hi {
+		hi, hiArg = t.hi[r], t.hiArg[r]
+	}
+	if lo == t.lo[i] && loArg == t.loArg[i] && hi == t.hi[i] && hiArg == t.hiArg[i] {
+		return false
+	}
+	t.lo[i], t.loArg[i], t.hi[i], t.hiArg[i] = lo, loArg, hi, hiArg
+	return true
+}
+
+// bound is the smallest action bound over node i's leaves for lookahead
+// target target: clamp(target, lo, hi) of the node's minimum lo and hi.
+// It is exact, not just a lower bound — if hi < target the hi-argmin
+// attains hi, if lo > target the lo-argmin attains lo, and otherwise every
+// leaf has hi >= target and the lo-argmin attains target.
+func (t *boundTree) bound(i int, target vtime.Time) vtime.Time {
+	return max(t.lo[i], min(target, t.hi[i]))
+}
+
 // Network connects the endpoints and applies the cost model. It owns the
-// deterministic delivery plane: one lock guards every mailbox and the
-// per-source bounds; refreshLocked recomputes the bounds after every
-// mutation and signals exactly the waiters whose condition now holds.
+// deterministic delivery plane: one lock guards every mailbox, the bound
+// tree over the sources' spans and the wake index of parked waiters. Each
+// mutation moves the leaves of the endpoints it changed and ends in
+// refreshLocked, which keeps low3 current and signals exactly the waiters
+// whose condition now holds.
 type Network struct {
 	model netmodel.Model
 	// minLat is the smallest latency any message can observe (>= 1ns),
@@ -431,23 +623,47 @@ type Network struct {
 
 	dmu sync.Mutex
 	eps map[int]*Endpoint
-	// epList caches the endpoints for the refresh scan (append-only).
+	// epList holds the endpoints sorted by id; an endpoint's index is its
+	// leaf in tree.
 	epList []*Endpoint
+	tree   boundTree
 	// low3 holds the three lexicographically smallest finite (bound, id)
-	// pairs from the last refresh: any gate's relevant minimum — which
-	// excludes at most the receiver and the head's source — is among them.
-	low3 [3]boundRef
-	// latentID designates the recovery endpoint as a latent source: while
+	// pairs: any gate's relevant minimum — which excludes at most the
+	// receiver and the head's source — is among them. updateLocked keeps
+	// it current, or sets dirty when it needs a full descent. seen3 is the
+	// low3 the wake index was last reconciled with.
+	low3  [3]boundRef
+	seen3 [3]boundRef
+	dirty bool
+	// latent designates the recovery endpoint as a latent source: while
 	// it is idle, its bound is the plane's minimum cap rather than
 	// infinity. A failure detected at a victim's clock c spawns recovery
 	// stamps at >= c + minLat, and c is always >= the victim's cap at
 	// every earlier pop — so the latent bound makes the plane anticipate a
 	// potential recovery round and never admit a stamp a future round
-	// could undercut. -1 when unset (raw transport use).
-	latentID int
-	inc      []int32 // incarnation per application rank
-	np       int
-	stats    []PairStat // np*np matrix, App traffic between application ranks
+	// could undercut. nil when unset (raw transport use).
+	latent *Endpoint
+
+	// The wake index. waiters holds every parked, not yet signalled waiter
+	// with a key (a Recv waiter with a queued head, an AwaitTurn waiter);
+	// each is also in its key source's keyed heap. doomed lists the
+	// endpoints with a death fence, woken the waiters signalled since they
+	// parked, and parked counts every goroutine parked in Recv or
+	// AwaitTurn, signalled or not.
+	waiters waitHeap
+	doomed  []*Endpoint
+	woken   []*Endpoint
+	parked  int
+	// visits counts bound-tree node visits (leaf updates and descents);
+	// tests read it to check a mutation's O(log np) cost.
+	visits uint64
+
+	inc []int32 // incarnation per application rank
+	np  int
+	// pairs lists the (src, dst) ranks of every channel between
+	// application ranks, in creation order: Stats densifies their App
+	// traffic accounting.
+	pairs [][2]int
 }
 
 // NewNetwork creates a network with application endpoints 0..np-1, all
@@ -458,21 +674,21 @@ func NewNetwork(np int, model netmodel.Model) *Network {
 		lat = 1
 	}
 	n := &Network{
-		model:    model,
-		minLat:   lat,
-		eps:      make(map[int]*Endpoint, np+2),
-		latentID: -1,
-		inc:      make([]int32, np),
-		np:       np,
-		stats:    make([]PairStat, np*np),
+		model:  model,
+		minLat: lat,
+		eps:    make(map[int]*Endpoint, np+2),
+		inc:    make([]int32, np),
+		np:     np,
+		dirty:  true,
 	}
 	for i := 0; i < np; i++ {
 		e := newEndpoint(n, i, stRunning)
 		n.eps[i] = e
 		n.epList = append(n.epList, e)
 	}
+	n.tree = newBoundTree(n.epList)
 	//hydee:allow lockdiscipline(constructor: the network is not shared yet, no lock needed)
-	n.refreshLocked()
+	n.refreshLocked(nil)
 	return n
 }
 
@@ -498,13 +714,17 @@ func (n *Network) Endpoint(id int) *Endpoint {
 	return n.endpointLocked(id)
 }
 
+// endpointLocked returns (creating if needed) the endpoint with id. A new
+// endpoint is idle, so it moves no bound: it takes its place in id order
+// and the tree is rebuilt around it, without a refresh.
 func (n *Network) endpointLocked(id int) *Endpoint {
 	e, ok := n.eps[id]
 	if !ok {
 		e = newEndpoint(n, id, stIdle)
-		e.bound = infTime
 		n.eps[id] = e
-		n.epList = append(n.epList, e)
+		i, _ := slices.BinarySearchFunc(n.epList, id, func(x *Endpoint, want int) int { return cmp.Compare(x.id, want) })
+		n.epList = slices.Insert(n.epList, i, e)
+		n.tree = newBoundTree(n.epList)
 	}
 	return e
 }
@@ -516,9 +736,9 @@ func (n *Network) endpointLocked(id int) *Endpoint {
 // traffic flows.
 func (n *Network) DeclareRecovery(id int) {
 	n.dmu.Lock()
-	n.latentID = id
-	n.endpointLocked(id)
-	n.refreshLocked()
+	n.latent = n.endpointLocked(id)
+	n.dirty = true
+	n.refreshLocked(nil)
 	n.dmu.Unlock()
 }
 
@@ -559,7 +779,7 @@ func (n *Network) Send(m *Msg) error {
 	if !ok {
 		return fmt.Errorf("transport: send to unknown endpoint %d", m.Dst)
 	}
-	if m.Src >= 0 && m.Src < n.np {
+	if n.isRank(m.Src) {
 		m.Inc = n.inc[m.Src]
 	}
 	// The sender cannot send again before this message's send time; a
@@ -571,14 +791,19 @@ func (n *Network) Send(m *Msg) error {
 		if src.state == stIdle {
 			src.state = stRunning
 		}
+		n.updateLocked(src)
 	}
 
 	m.ArriveVT = m.SendVT.Add(lat)
-	if m.Kind == App && m.Src >= 0 && m.Src < n.np && m.Dst >= 0 && m.Dst < n.np {
-		s := &n.stats[m.Src*n.np+m.Dst]
-		s.Msgs++
-		s.Bytes += int64(m.WireLen)
-		s.PiggyBytes += int64(m.PiggyLen)
+	pair := n.isRank(m.Src) && n.isRank(m.Dst)
+	ch, ok := dst.chans[m.Src]
+	if !ok && pair {
+		n.pairs = append(n.pairs, [2]int{m.Src, m.Dst})
+	}
+	if m.Kind == App && pair {
+		ch.stat.Msgs++
+		ch.stat.Bytes += int64(m.WireLen)
+		ch.stat.PiggyBytes += int64(m.PiggyLen)
 	}
 	// FIFO channels admit no overtaking: clamp the arrival to the channel
 	// predecessor's, making arrival times monotone per (src,dst) and the
@@ -589,21 +814,31 @@ func (n *Network) Send(m *Msg) error {
 	// (buffered, then wiped) or just after (dropped) would leave different
 	// clamps behind and the restarted incarnation's arrival stamps would
 	// depend on that real-time race.
-	if last := dst.chArrive[m.Src]; m.ArriveVT < last {
-		m.ArriveVT = last
+	if m.ArriveVT < ch.arrive {
+		m.ArriveVT = ch.arrive
 	}
-	dst.chArrive[m.Src] = m.ArriveVT
-	dst.chSeq[m.Src]++
-	m.chSeq = dst.chSeq[m.Src]
+	ch.arrive = m.ArriveVT
+	ch.seq++
+	m.chSeq = ch.seq
+	dst.chans[m.Src] = ch
 	if dst.dead {
 		dst.droppedWhileDead++
-		n.refreshLocked() // the sender's frontier still advanced
+		n.refreshLocked(nil) // the sender's frontier still advanced
 		return nil
 	}
 	heap.Push(&dst.q, m)
-	n.refreshLocked()
+	if dst.q[0] != m {
+		// Queued behind the head: dst's span and wait are unchanged.
+		n.refreshLocked(nil)
+		return nil
+	}
+	n.updateLocked(dst)
+	n.refreshLocked(dst)
 	return nil
 }
+
+// isRank reports whether id is an application rank.
+func (n *Network) isRank(id int) bool { return id >= 0 && id < n.np }
 
 // Publish raises id's send frontier to vt and marks it running. Actors call
 // it when their clock advances without a transport operation (local compute,
@@ -618,7 +853,8 @@ func (n *Network) Publish(id int, vt vtime.Time) {
 		if vt > e.frontier {
 			e.frontier = vt
 		}
-		n.refreshLocked()
+		n.updateLocked(e)
+		n.refreshLocked(nil)
 	}
 	n.dmu.Unlock()
 }
@@ -632,7 +868,8 @@ func (n *Network) Quiesce(id int) {
 	e := n.endpointLocked(id)
 	if e.state != stDead && e.state != stIdle {
 		e.state = stIdle
-		n.refreshLocked()
+		n.updateLocked(e)
+		n.refreshLocked(nil)
 	}
 	n.dmu.Unlock()
 }
@@ -651,110 +888,348 @@ func (n *Network) AwaitTurn(id int, vt vtime.Time) error {
 	e := n.endpointLocked(id)
 	e.turnVT = vt
 	for {
-		if e.dead {
-			return ErrKilled
+		if ok, err := n.pollTurnLocked(e); ok {
+			return err
 		}
-		if vt > e.doomVT {
-			return e.reapLocked()
-		}
-		if e.state != stRunning || e.frontier < vt {
-			e.state = stRunning
-			if vt > e.frontier {
-				e.frontier = vt
-			}
-			n.refreshLocked()
-		}
-		if n.turnPassLocked(e, vt) {
-			return nil
-		}
-		e.waiting = wTurn
+		n.parkLocked(e, wTurn)
 		e.cond.Wait()
-		e.waiting = wNone
+		n.unparkLocked(e)
 	}
 }
 
-// refreshLocked recomputes every source's action bound and signals the
-// waiters whose condition now holds. It must be called at the end of every
-// delivery-plane mutation; the bounds are therefore always current when a
-// gate is evaluated.
-//
-// Closed form of the transitive bound (any source can send to any
-// destination): let cap(e) be max(frontier, queue head) for a blocked
-// source (inf with an empty queue), the frontier for a running or dead one
-// and inf for an idle one, and let m1 be the smallest cap. The cap-minimal
-// source's bound is exactly its cap (its head precedes anything others can
-// still produce), and every other blocked source's bound is
-// max(frontier, min(queueHead, m1+minLat)): it can only act after
-// delivering something, which arrives no earlier than min of its own head
-// and the earliest stamp the rest of the plane can still emit.
-func (n *Network) refreshLocked() {
-	// Pass 1: caps and their two smallest values.
-	m1, m2 := infTime, infTime
-	var a1 *Endpoint
-	for _, e := range n.epList {
-		cap := infTime
-		switch e.state {
-		case stRunning, stDead:
-			cap = e.frontier
-		case stBlocked:
-			if len(e.q) > 0 {
-				cap = e.frontier
-				if h := e.q[0].ArriveVT; h > cap {
-					cap = h
-				}
-			}
+// pollTurnLocked is one evaluation of AwaitTurn at e.turnVT. ok reports that
+// the wait is over — the turn is granted (nil) or cancelled (ErrKilled);
+// otherwise the caller parks until the plane signals it.
+func (n *Network) pollTurnLocked(e *Endpoint) (ok bool, err error) {
+	vt := e.turnVT
+	if e.dead {
+		return true, ErrKilled
+	}
+	if vt > e.doomVT {
+		return true, e.reapLocked()
+	}
+	if e.state != stRunning || e.frontier < vt {
+		e.state = stRunning
+		if vt > e.frontier {
+			e.frontier = vt
 		}
-		e.bound = cap // provisional; blocked non-minimal sources improve below
-		if cap < m1 {
-			m2, m1, a1 = m1, cap, e
-		} else if cap < m2 {
-			m2 = cap
+		n.updateLocked(e)
+		n.refreshLocked(nil)
+	}
+	return n.turnPassLocked(e, vt), nil
+}
+
+// updateLocked moves e's leaf to its current span and keeps low3 current.
+// Every mutation of an endpoint's state, frontier or queue head calls it
+// before refreshLocked; the walk to the root stops at the first node the
+// move leaves unchanged. While m1 stays put, e's is the only bound that
+// moved (moveLocked); a move of m1 shifts every blocked source's bound,
+// and the latent source's bound follows m1 rather than its leaf, so those
+// leave low3 to a full descent.
+func (n *Network) updateLocked(e *Endpoint) {
+	if e == n.latent {
+		n.dirty = true
+	}
+	t := &n.tree
+	i := t.size + e.pos
+	lo, hi := e.span()
+	if t.lo[i] == lo && t.hi[i] == hi {
+		return
+	}
+	m1, target := t.hi[1], n.targetLocked()
+	old := boundRef{t.bound(i, target), e.id}
+	t.lo[i], t.hi[i] = lo, hi
+	for j := i >> 1; j > 0; j >>= 1 {
+		n.visits++
+		if !t.pull(j) {
+			break
 		}
 	}
-	// Pass 2: blocked sources other than the unique cap-argmin are bounded
-	// by the earliest arrival the rest of the plane can still emit, and the
-	// idle latent recovery source by the earliest virtual time a failure
-	// could still be detected at (the minimum cap).
+	switch {
+	case n.dirty:
+	case t.hi[1] != m1:
+		n.dirty = true
+	default:
+		n.moveLocked(old, boundRef{t.bound(i, target), e.id})
+	}
+}
+
+// moveLocked updates low3 for one source's bound moving from old to now,
+// every other bound unchanged: the source's entry leaves low3 and now
+// enters it if it sorts among the three smallest. Only an entry that
+// worsens while a finite third entry could be overtaken by a source
+// outside low3 needs the full descent.
+func (n *Network) moveLocked(old, now boundRef) {
+	low := &n.low3
+	k := slices.Index(low[:], old)
+	switch {
+	case old == now:
+		return
+	case k < 0:
+		if !now.less(low[2]) {
+			return
+		}
+		k = 2
+	case old.less(now) && low[2].b < infTime && (k == 2 || low[2].less(now)):
+		n.dirty = true
+		return
+	}
+	copy(low[k:], low[k+1:])
+	low[2] = boundRef{infTime, -1}
+	if now.b < infTime {
+		insertLow(low, now)
+	}
+}
+
+// targetLocked is the lookahead target T = m1 + minLat every blocked
+// source's bound is clamped towards (inf while no source has a finite cap).
+func (n *Network) targetLocked() vtime.Time {
+	if m1 := n.tree.hi[1]; m1 < infTime {
+		return m1.Add(n.minLat)
+	}
+	return infTime
+}
+
+// boundLocked derives e's action bound — no send or checkpoint write by e
+// can be issued before it — with the clamp the gate's low3 descent applies
+// to tree nodes.
+func (n *Network) boundLocked(e *Endpoint) vtime.Time {
+	if e == n.latent && e.state == stIdle {
+		return n.tree.hi[1]
+	}
+	return n.tree.bound(n.tree.size+e.pos, n.targetLocked())
+}
+
+// low3Locked computes the three smallest finite (bound, id) pairs: three
+// exclusion descents of the bound tree (epList order is id order, so a
+// leftmost leaf is the smallest id), merged with the idle latent source's
+// bound m1, which its leaf does not carry.
+func (n *Network) low3Locked() [3]boundRef {
 	low := [3]boundRef{{infTime, -1}, {infTime, -1}, {infTime, -1}}
-	for _, e := range n.epList {
-		if e.state == stBlocked && e != a1 && m1 < infTime {
-			b := m1.Add(n.minLat)
-			if len(e.q) > 0 && e.q[0].ArriveVT < b {
-				b = e.q[0].ArriveVT
-			}
-			if e.frontier > b {
-				b = e.frontier
-			}
-			e.bound = b
-		} else if e.state == stIdle && e.id == n.latentID {
-			e.bound = m1
+	t := &n.tree
+	target := n.targetLocked()
+	x, y := -1, -1
+	for k := range low {
+		v, i := n.minLocked(1, 0, t.size, x, y, target)
+		if v == infTime {
+			break
 		}
-		if e.bound < infTime {
-			r := boundRef{e.bound, e.id}
-			switch {
-			case r.less(low[0]):
-				low[0], low[1], low[2] = r, low[0], low[1]
-			case r.less(low[1]):
-				low[1], low[2] = r, low[1]
-			case r.less(low[2]):
-				low[2] = r
-			}
+		p := n.resolveLocked(i, v, target)
+		low[k] = boundRef{v, n.epList[p].id}
+		x, y = p, x
+	}
+	if l := n.latent; l != nil && l.state == stIdle && t.hi[1] < infTime {
+		insertLow(&low, boundRef{t.hi[1], l.id})
+	}
+	return low
+}
+
+// minLocked returns the smallest bound over the leaves of node i — which
+// covers leaf positions [l, r) — other than positions x and y, with a node
+// attaining it that contains neither (ties go left, to the smaller ids).
+// Only nodes holding an excluded leaf are split, so it visits O(log np)
+// nodes.
+func (n *Network) minLocked(i, l, r, x, y int, target vtime.Time) (vtime.Time, int) {
+	n.visits++
+	if (x < l || x >= r) && (y < l || y >= r) {
+		return n.tree.bound(i, target), i
+	}
+	if r-l == 1 {
+		return infTime, i
+	}
+	m := (l + r) / 2
+	va, ia := n.minLocked(2*i, l, m, x, y, target)
+	vb, ib := n.minLocked(2*i+1, m, r, x, y, target)
+	if vb < va {
+		return vb, ib
+	}
+	return va, ia
+}
+
+// resolveLocked returns the leftmost leaf of node i attaining its bound v
+// (see boundTree.bound): the hi-argmin below target, the lo-argmin above
+// it, and at target the leftmost leaf with lo <= target.
+func (n *Network) resolveLocked(i int, v, target vtime.Time) int {
+	t := &n.tree
+	switch {
+	case v < target:
+		return int(t.hiArg[i])
+	case v > target:
+		return int(t.loArg[i])
+	}
+	for i < t.size {
+		n.visits++
+		i *= 2
+		if t.lo[i] > target {
+			i++
 		}
 	}
-	n.low3 = low
-	// Pass 3: wake exactly the waiters whose condition now holds.
-	for _, e := range n.epList {
-		switch e.waiting {
-		case wRecv:
-			if e.dead || (len(e.q) > 0 && n.gatePassLocked(e, e.q[0])) || n.doomReapLocked(e) {
-				e.cond.Signal()
-			}
-		case wTurn:
-			if e.dead || e.turnVT > e.doomVT || n.turnPassLocked(e, e.turnVT) {
-				e.cond.Signal()
-			}
+	return i - t.size
+}
+
+// refreshLocked ends every delivery-plane mutation, after the mutator moved
+// the leaves of the endpoints it changed (updateLocked). touched, if not
+// nil, is an endpoint whose own wait inputs — queue head, death, fence —
+// the mutation changed. If low3 changed, every waiter it now admits is
+// signalled through the wake index (wakeLocked); otherwise no waiter's
+// condition has a changed input except touched's, so only touched is
+// re-checked. A waiter is signalled once, on the false-to-true
+// transition, and leaves the index until it parks again.
+func (n *Network) refreshLocked(touched *Endpoint) {
+	recheck := touched != nil && touched.waiting != wNone && !touched.woken()
+	if recheck {
+		n.unindexLocked(touched) // its key may be stale
+	}
+	if n.dirty {
+		n.dirty = false
+		n.low3 = n.low3Locked()
+	}
+	if n.low3 != n.seen3 {
+		n.seen3 = n.low3
+		n.wakeLocked()
+	}
+	if recheck && !touched.woken() {
+		if n.readyLocked(touched) {
+			n.signalLocked(touched)
+		} else {
+			n.indexLocked(touched)
 		}
 	}
+}
+
+// wakeLocked signals every indexed waiter the new low3 admits. A waiter's
+// gate compares its key with the first low3 entry that is neither itself
+// nor its key's source, so: waiters keyed on no low3 source compare with
+// low3[0] and come off the global heap in key order; waiters keyed on a
+// low3 source s compare with the first entry other than s and come off
+// s's keyed heap; the at most three waiters that are low3 sources
+// themselves, and the doomed ones (whose reap condition is not a key
+// comparison), are checked one by one. Each pop is a waiter whose
+// condition holds — the first entry a gate does not skip never sorts
+// before the threshold it was popped with.
+func (n *Network) wakeLocked() {
+	for len(n.waiters.es) > 0 && n.admits(n.low3[0], n.waiters.es[0].key) {
+		n.signalLocked(n.waiters.es[0])
+	}
+	for _, r := range n.low3 {
+		if r.b == infTime {
+			break
+		}
+		s := n.eps[r.id]
+		rs := n.firstLocked(s.id, s.id)
+		for len(s.keyed.es) > 0 && n.admits(rs, s.keyed.es[0].key) {
+			n.signalLocked(s.keyed.es[0])
+		}
+		n.checkLocked(s)
+	}
+	for _, e := range n.doomed {
+		n.checkLocked(e)
+	}
+}
+
+// readyLocked reports whether parked e's wait condition holds: the one its
+// Recv or AwaitTurn loop would act on.
+func (n *Network) readyLocked(e *Endpoint) bool {
+	switch e.waiting {
+	case wRecv:
+		return e.dead || (len(e.q) > 0 && n.gatePassLocked(e, e.q[0])) || n.doomReapLocked(e)
+	case wTurn:
+		return e.dead || e.turnVT > e.doomVT || n.turnPassLocked(e, e.turnVT)
+	}
+	return false
+}
+
+// checkLocked signals e if it is parked, not yet signalled, and ready.
+func (n *Network) checkLocked(e *Endpoint) {
+	if e.waiting != wNone && !e.woken() && n.readyLocked(e) {
+		n.signalLocked(e)
+	}
+}
+
+// parkLocked records that e's goroutine is about to wait for kind, with
+// its condition false, and indexes it.
+func (n *Network) parkLocked(e *Endpoint, kind waitKind) {
+	e.waiting = kind
+	n.parked++
+	n.indexLocked(e)
+}
+
+// unparkLocked records that e's goroutine resumed.
+func (n *Network) unparkLocked(e *Endpoint) {
+	if e.woken() {
+		last := n.woken[len(n.woken)-1]
+		n.woken[e.wokenIdx], last.wokenIdx = last, e.wokenIdx
+		n.woken = n.woken[:len(n.woken)-1]
+		e.wokenIdx = -1
+	} else {
+		n.unindexLocked(e)
+	}
+	e.waiting = wNone
+	n.parked--
+}
+
+// signalLocked wakes parked e and moves it from the wake index to woken.
+func (n *Network) signalLocked(e *Endpoint) {
+	n.unindexLocked(e)
+	e.wokenIdx = len(n.woken)
+	n.woken = append(n.woken, e)
+	e.cond.Signal()
+}
+
+// indexLocked enters parked e in the wake index under its current key. A
+// Recv waiter with an empty queue has no key: only a send to it, its
+// death or its fence (touched, or the doomed list) can wake it.
+func (n *Network) indexLocked(e *Endpoint) {
+	switch e.waiting {
+	case wRecv:
+		if len(e.q) == 0 {
+			return
+		}
+		h := e.q[0]
+		e.key, e.keySrc = waitKey{h.ArriveVT, h.Src}, n.eps[h.Src]
+	case wTurn:
+		e.key, e.keySrc = waitKey{e.turnVT.Add(n.minLat), e.id}, e
+	default:
+		return
+	}
+	heap.Push(&n.waiters, e)
+	if e.keySrc != nil {
+		heap.Push(&e.keySrc.keyed, e)
+	}
+}
+
+// unindexLocked removes e from the wake index (a no-op if absent).
+func (n *Network) unindexLocked(e *Endpoint) {
+	if i := e.hidx[0]; i >= 0 {
+		heap.Remove(&n.waiters, i)
+	}
+	if i := e.hidx[1]; i >= 0 {
+		heap.Remove(&e.keySrc.keyed, i)
+	}
+	e.keySrc = nil
+}
+
+// firstLocked returns the first low3 entry whose id is neither x nor y —
+// the bound a gate excluding those two sources compares with — or an
+// infinite entry when none is finite.
+func (n *Network) firstLocked(x, y int) boundRef {
+	for _, r := range n.low3 {
+		if r.b == infTime || (r.id != x && r.id != y) {
+			return r
+		}
+	}
+	return boundRef{infTime, -1}
+}
+
+// admits reports whether the bound r lets a message with key k through: r's
+// source's next message arrives no earlier than r.b+minLat, with source
+// tiebreak r.id.
+func (n *Network) admits(r boundRef, k waitKey) bool {
+	if r.b == infTime {
+		return true
+	}
+	a := r.b.Add(n.minLat)
+	return a > k.a || (a == k.a && r.id > k.src)
 }
 
 // doomReapLocked reports whether a doomed endpoint blocked in Recv can be
@@ -773,16 +1248,8 @@ func (n *Network) doomReapLocked(e *Endpoint) bool {
 	if len(e.q) > 0 && !n.pastFenceLocked(e, e.q[0]) {
 		return false // a pre-fence message is queued; it must be delivered
 	}
-	for _, r := range n.low3 {
-		if r.b == infTime {
-			return true
-		}
-		if r.id == e.id {
-			continue
-		}
-		return r.b > d
-	}
-	return true
+	r := n.firstLocked(e.id, e.id)
+	return r.b == infTime || r.b > d
 }
 
 // gatePassLocked reports whether m — the minimum-key message queued at dst
@@ -792,34 +1259,14 @@ func (n *Network) doomReapLocked(e *Endpoint) bool {
 // constraint is the lexicographic minimum of (bound, id) over all sources
 // except those two, which is among the plane's three smallest.
 func (n *Network) gatePassLocked(dst *Endpoint, m *Msg) bool {
-	for _, r := range n.low3 {
-		if r.b == infTime {
-			return true
-		}
-		if r.id == dst.id || r.id == m.Src {
-			continue
-		}
-		// The source's next message arrives no earlier than r.b + minLat,
-		// with source tiebreak r.id.
-		a := r.b.Add(n.minLat)
-		return a > m.ArriveVT || (a == m.ArriveVT && r.id > m.Src)
-	}
-	return true
+	return n.admits(n.firstLocked(dst.id, m.Src), waitKey{m.ArriveVT, m.Src})
 }
 
 // turnPassLocked reports whether e holds the (vt, id) action turn: every
 // other live source's bound sorts strictly after it.
 func (n *Network) turnPassLocked(e *Endpoint, vt vtime.Time) bool {
-	for _, r := range n.low3 {
-		if r.b == infTime {
-			return true
-		}
-		if r.id == e.id {
-			continue
-		}
-		return r.b > vt || (r.b == vt && r.id > e.id)
-	}
-	return true
+	r := n.firstLocked(e.id, e.id)
+	return r.b == infTime || r.b > vt || (r.b == vt && r.id > e.id)
 }
 
 // DebugState renders the delivery plane (states, frontiers, bounds, queue
@@ -841,17 +1288,22 @@ func (n *Network) DebugState() string {
 			doom = fmt.Sprintf(" doom=%d", e.doomVT)
 		}
 		b = fmt.Appendf(b, "  ep %d: %s frontier=%d bound=%d%s qlen=%d head={%s}\n",
-			e.id, names[e.state], e.frontier, e.bound, doom, len(e.q), head)
+			e.id, names[e.state], e.frontier, n.boundLocked(e), doom, len(e.q), head)
 	}
 	return string(b)
 }
 
-// Stats returns a copy of the pair-traffic matrix (np*np, row = src).
+// Stats returns the pair-traffic matrix (np*np, row = src), densified from
+// the channels' accounting; ranks talk to few peers in most kernels, so
+// only this copy is dense.
 func (n *Network) Stats() []PairStat {
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	out := make([]PairStat, len(n.stats))
-	copy(out, n.stats)
+	out := make([]PairStat, n.np*n.np)
+	for _, p := range n.pairs {
+		src, dst := p[0], p[1]
+		out[src*n.np+dst] = n.eps[dst].chans[src].stat
+	}
 	return out
 }
 
@@ -859,7 +1311,7 @@ func (n *Network) Stats() []PairStat {
 func (n *Network) PairStatAt(src, dst int) PairStat {
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	return n.stats[src*n.np+dst]
+	return n.eps[dst].chans[src].stat
 }
 
 // Doom declares that id dies at virtual time d without stopping it
@@ -877,10 +1329,23 @@ func (n *Network) Doom(id int, d vtime.Time) {
 	n.dmu.Lock()
 	e := n.endpointLocked(id)
 	if !e.dead && d < e.doomVT {
+		if e.doomVT == infTime {
+			n.doomed = append(n.doomed, e)
+		}
 		e.doomVT = d
-		n.refreshLocked()
+		n.refreshLocked(e)
 	}
 	n.dmu.Unlock()
+}
+
+// undoomLocked clears e's death fence.
+func (n *Network) undoomLocked(e *Endpoint) {
+	if e.doomVT == infTime {
+		return
+	}
+	e.doomVT = infTime
+	i := slices.Index(n.doomed, e)
+	n.doomed = slices.Delete(n.doomed, i, i+1)
 }
 
 // Kill marks rank dead: bumps its incarnation, wipes its mailbox and wakes
@@ -918,9 +1383,10 @@ func (n *Network) KillService(id int) {
 func (n *Network) killLocked(e *Endpoint) {
 	e.dead = true
 	e.state = stDead
-	e.doomVT = infTime
+	n.undoomLocked(e)
 	e.q = nil
-	n.refreshLocked()
+	n.updateLocked(e)
+	n.refreshLocked(e)
 }
 
 // Restart revives the endpoint of rank with an empty mailbox.
@@ -939,14 +1405,20 @@ func (n *Network) Restart(rank int) { n.RestartAt(rank, 0) }
 // FIFO order survivors already observed.
 func (n *Network) RestartAt(rank int, vt vtime.Time) {
 	n.dmu.Lock()
-	e := n.eps[rank]
+	n.reviveLocked(n.eps[rank], vt)
+	n.dmu.Unlock()
+}
+
+// reviveLocked brings e back running at frontier vt with an empty mailbox
+// and no fence.
+func (n *Network) reviveLocked(e *Endpoint, vt vtime.Time) {
 	e.dead = false
 	e.state = stRunning
-	e.doomVT = infTime
+	n.undoomLocked(e)
 	e.frontier = vt
 	e.q = nil
-	n.refreshLocked()
-	n.dmu.Unlock()
+	n.updateLocked(e)
+	n.refreshLocked(e)
 }
 
 // AttachAt marks id running with its send frontier at exactly vt,
@@ -960,7 +1432,8 @@ func (n *Network) AttachAt(id int, vt vtime.Time) {
 	if e.state != stDead {
 		e.state = stRunning
 		e.frontier = vt
-		n.refreshLocked()
+		n.updateLocked(e)
+		n.refreshLocked(nil)
 	}
 	n.dmu.Unlock()
 }
@@ -973,13 +1446,7 @@ func (n *Network) AttachAt(id int, vt vtime.Time) {
 // RestartAt it touches no incarnation bookkeeping.
 func (n *Network) RestartServiceAt(id int, vt vtime.Time) {
 	n.dmu.Lock()
-	e := n.endpointLocked(id)
-	e.dead = false
-	e.state = stRunning
-	e.doomVT = infTime
-	e.frontier = vt
-	e.q = nil
-	n.refreshLocked()
+	n.reviveLocked(n.endpointLocked(id), vt)
 	n.dmu.Unlock()
 }
 
@@ -1002,30 +1469,24 @@ func (n *Network) MaxFrontier() vtime.Time {
 
 // Quiescent reports whether the plane is truly stuck: exactly expected
 // goroutines are parked (in Recv or AwaitTurn) and none of their wake
-// conditions — the ones refreshLocked signals on — hold. A true result is a
-// stable property: no parked goroutine can run again until the caller
-// mutates the plane, and the stuck state it describes is a pure function of
-// virtual time (every run of the same schedule reaches the identical one).
-// The supervisor uses it to detect a starved recovery round — one whose
-// coordinator waits on reports from ranks a queued overlapping failure
-// already killed — and deterministically supersede it.
+// conditions hold. A true result is a stable property: no parked goroutine
+// can run again until the caller mutates the plane, and the stuck state it
+// describes is a pure function of virtual time (every run of the same
+// schedule reaches the identical one). The supervisor uses it to detect a
+// starved recovery round — one whose coordinator waits on reports from
+// ranks a queued overlapping failure already killed — and deterministically
+// supersede it. Every refresh signals the waiters whose condition it made
+// true, so only the signalled ones, not yet resumed, need a look.
 func (n *Network) Quiescent(expected int) bool {
 	n.dmu.Lock()
 	defer n.dmu.Unlock()
-	parked := 0
-	for _, e := range n.epList {
-		switch e.waiting {
-		case wRecv:
-			parked++
-			if e.dead || (len(e.q) > 0 && n.gatePassLocked(e, e.q[0])) || n.doomReapLocked(e) {
-				return false
-			}
-		case wTurn:
-			parked++
-			if e.dead || e.turnVT > e.doomVT || n.turnPassLocked(e, e.turnVT) {
-				return false
-			}
+	if n.parked != expected {
+		return false
+	}
+	for _, e := range n.woken {
+		if n.readyLocked(e) {
+			return false
 		}
 	}
-	return parked == expected
+	return true
 }

@@ -503,3 +503,44 @@ func TestKindString(t *testing.T) {
 		t.Fatal("kind strings wrong")
 	}
 }
+
+// treeVisitsPerSend runs a fixed ring script on an np-rank plane — every
+// rank sends to its successor, publishes past the arrivals, then receives
+// — on one goroutine (no receive ever parks) and returns the bound-tree
+// node visits per send.
+func treeVisitsPerSend(t *testing.T, np int) float64 {
+	t.Helper()
+	n := NewNetwork(np, netmodel.Myrinet10G())
+	n.DeclareRecovery(np)
+	start := n.visits
+	const rounds = 4
+	for r := 0; r < rounds; r++ {
+		at := vtime.Time(r) * 100_000
+		for i := 0; i < np; i++ {
+			send(t, n, i, (i+1)%np, r, at+vtime.Time(i%7))
+		}
+		for i := 0; i < np; i++ {
+			n.Publish(i, at+50_000)
+		}
+		for i := 0; i < np; i++ {
+			if m, err := n.Endpoint(i).Recv(at + 50_000); err != nil || m.Tag != r {
+				t.Fatalf("np=%d round %d rank %d: %v %v", np, r, i, m, err)
+			}
+		}
+	}
+	return float64(n.visits-start) / float64(rounds*np)
+}
+
+// TestPlaneMutationCostIsLogarithmic: the work per send grows with log np,
+// not np. From 256 to 4096 ranks log2 grows 1.5x and np 16x; the visits
+// per send may at most double.
+func TestPlaneMutationCostIsLogarithmic(t *testing.T) {
+	if a, b := treeVisitsPerSend(t, 256), treeVisitsPerSend(t, 256); a != b {
+		t.Fatalf("visit count is not deterministic: %v then %v", a, b)
+	}
+	small, large := treeVisitsPerSend(t, 256), treeVisitsPerSend(t, 4096)
+	t.Logf("tree visits per send: %.2f at np=256, %.2f at np=4096 (ratio %.2f)", small, large, large/small)
+	if large > 2*small {
+		t.Fatalf("visits per send grew %.2fx from np=256 to np=4096 (%.2f -> %.2f): not O(log np)", large/small, small, large)
+	}
+}
