@@ -49,9 +49,10 @@ profile:
 # Append one wall-clock performance point for the np=1024 smoke workload
 # to BENCH_hydee.json (one JSON line per invocation — a throughput series
 # over commits). Virtual-time fields in the line are deterministic; only
-# wall_ms / events_per_sec measure the machine.
+# wall_ms / events_per_sec measure the machine. The bench pins the ideal
+# network, so the series stays comparable.
 bench-json:
-	$(GO) run ./cmd/hydee-bench -out BENCH_hydee.json
+	$(GO) run ./cmd/hydee bench -out BENCH_hydee.json
 
 vet:
 	$(GO) vet ./...

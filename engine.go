@@ -98,10 +98,7 @@ func (e *Engine) makeStore() (checkpoint.Store, error) {
 	if opts.WriteBPS == 0 && opts.ReadBPS == 0 {
 		opts.WriteBPS, opts.ReadBPS = e.storeWriteBPS, e.storeReadBPS
 	}
-	if n := opts.totalShards(); opts.Placement == nil && n > 1 && e.cfg.Topo != nil {
-		opts.Placement = ClusterPlacement(e.cfg.Topo, n)
-	}
-	return e.storeMake(opts)
+	return buildStore(e.storeMake, opts, e.cfg.Topo)
 }
 
 // Config returns a copy of the runtime configuration the engine resolved
@@ -324,16 +321,6 @@ func WithWatchdog(d time.Duration) Option {
 			return fmt.Errorf("hydee: WithWatchdog(%v): duration must be >= 0", d)
 		}
 		e.cfg.Watchdog = d
-		return nil
-	}
-}
-
-// WithConfig seeds the engine from a legacy Config value; later options
-// override individual fields. It exists so struct-based callers can migrate
-// piecemeal.
-func WithConfig(cfg Config) Option {
-	return func(e *Engine) error {
-		e.cfg = cfg
 		return nil
 	}
 }

@@ -25,8 +25,8 @@
 // An Engine is reusable across runs, honors context cancellation and
 // deadlines, returns typed errors (*RunError wrapping ErrCanceled,
 // ErrDeadlock, ErrNotSendDeterministic), and streams lifecycle events to
-// an Observer. The struct-based hydee.Run(cfg, program) entry point remains
-// as a thin shim over the same runtime.
+// an Observer. A run that names no network model runs on Myrinet10G,
+// whether Engine options, an ExperimentSpec or a SweepSpec describe it.
 //
 // See examples/ for runnable programs and DESIGN.md for the system map.
 package hydee
@@ -114,16 +114,6 @@ const (
 // Model is a network cost model.
 type Model = netmodel.Model
 
-// Run executes a program under the configuration. It is a thin shim over
-// an Engine, kept for struct-based callers; new code should prefer
-// hydee.New(...).Run(ctx, program).
-func Run(cfg Config, program Program) (*Result, error) { return mpi.Run(cfg, program) }
-
-// RunContext is Run honoring ctx cancellation and deadlines.
-func RunContext(ctx context.Context, cfg Config, program Program) (*Result, error) {
-	return mpi.RunContext(ctx, cfg, program)
-}
-
 // Event tracing (application-level Post/Delivery events, §II-C).
 type (
 	// EventRecorder collects application-level events when set in Config.
@@ -155,9 +145,7 @@ func Coordinated() Protocol { return coord.New() }
 
 // MessageLogging returns the full sender-based message-logging comparator
 // of Figure 6 (use with Singletons clustering).
-func MessageLogging() Protocol {
-	return core.NewWithOptions(core.Options{Name: "mlog", ExtraPiggyBytes: 8})
-}
+func MessageLogging() Protocol { return core.NewMessageLogging() }
 
 // NewTopology builds a clustering from a per-rank cluster assignment.
 func NewTopology(assign []int) *Topology { return rollback.NewTopology(assign) }
@@ -292,14 +280,15 @@ func Table1Ctx(ctx context.Context, np, traceIters int, model Model, parallelism
 	return harness.Table1Ctx(ctx, np, traceIters, graph.DefaultOptions(), model, parallelism)
 }
 
-// Figure5 regenerates Figure 5 (nil model = Myrinet10G, nil sizes =
-// standard sweep).
+// Figure5 regenerates Figure 5 over Myrinet10G (nil sizes = standard
+// sweep).
 func Figure5(sizes []int, reps int) ([]Fig5Row, error) {
 	return harness.Figure5(netmodel.Myrinet10G(), sizes, reps)
 }
 
 // Figure5Ctx is Figure5 with a context and an explicit network model (nil
-// = Myrinet10G); the three sweep configurations run concurrently.
+// is an error: the ping-pong is measured on a named network); the three
+// sweep configurations run concurrently.
 func Figure5Ctx(ctx context.Context, model Model, sizes []int, reps int) ([]Fig5Row, error) {
 	return harness.Figure5Ctx(ctx, model, sizes, reps)
 }

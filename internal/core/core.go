@@ -62,6 +62,13 @@ type Protocol struct {
 // New returns HydEE with default options.
 func New() *Protocol { return NewWithOptions(Options{}) }
 
+// NewMessageLogging returns the full sender-based message-logging
+// comparator of Figure 6: HydEE's engine named "mlog" with a determinant
+// id piggybacked per message. Use it with singleton clusters.
+func NewMessageLogging() *Protocol {
+	return NewWithOptions(Options{Name: "mlog", ExtraPiggyBytes: 8})
+}
+
 // NewWithOptions returns HydEE with the given options.
 func NewWithOptions(o Options) *Protocol {
 	if o.Name == "" {

@@ -123,7 +123,7 @@ func TestE5StoreContentionReproducible(t *testing.T) {
 			Kernel: k, Params: apps.Params{NP: 16, Iters: 6},
 			Proto: ProtoHydEE, Assign: assign,
 			CheckpointEvery: 2, Stagger: stagger,
-			StoreWriteBPS: 2e9, StoreReadBPS: 2e9,
+			NewStore: sharedStore(2e9),
 		})
 	}
 }
@@ -146,7 +146,7 @@ func TestMidWaveFailureReproducible(t *testing.T) {
 		sum := runTwice(t, Spec{
 			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
 			Proto: proto, Assign: assign, CheckpointEvery: 3,
-			StoreWriteBPS: 2e9, StoreReadBPS: 2e9,
+			NewStore: sharedStore(2e9),
 			Failures: failure.NewSchedule(failure.Event{
 				Ranks: []int{8},
 				When:  failure.Trigger{AfterCheckpoints: 1},

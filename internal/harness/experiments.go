@@ -92,7 +92,8 @@ type Fig5Row struct {
 }
 
 // Figure5 sweeps the ping-pong benchmark in the paper's three
-// configurations over the Myrinet 10G model.
+// configurations over model, which netpipe requires: the figure is
+// measured on a named network.
 func Figure5(model netmodel.Model, sizes []int, reps int) ([]Fig5Row, error) {
 	return Figure5Ctx(context.Background(), model, sizes, reps)
 }
@@ -100,9 +101,6 @@ func Figure5(model netmodel.Model, sizes []int, reps int) ([]Fig5Row, error) {
 // Figure5Ctx is Figure5 with a context; the three sweep configurations
 // (native, same-cluster HydEE, cross-cluster HydEE) run concurrently.
 func Figure5Ctx(ctx context.Context, model netmodel.Model, sizes []int, reps int) ([]Fig5Row, error) {
-	if model == nil {
-		model = netmodel.Myrinet10G()
-	}
 	configs := []netpipe.Config{
 		{Model: model, Sizes: sizes, Reps: reps},
 		{Model: model, Sizes: sizes, Reps: reps, Protocol: hydeeProtocol(), SameCluster: true},
@@ -271,9 +269,10 @@ func Containment(k apps.Kernel, np, iters, ckptEvery int, assign []int, failAfte
 // trigger for the victim (rank np/2) — an AtVT trigger injects at a
 // virtual time, including mid-checkpoint-wave — an explicit network
 // model (nil = Myrinet10G) and an explicit checkpoint-store constructor
-// (nil = a fresh free in-memory store per run; the constructor sees each
-// run's topology so sharded stores can place clusters).
-func ContainmentCtx(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, failWhen failure.Trigger, model netmodel.Model, newStore func(*rollback.Topology) checkpoint.Store) ([]E4Row, error) {
+// (Spec.NewStore: nil = a fresh free in-memory store per run; the
+// constructor sees each run's topology so sharded stores can place
+// clusters).
+func ContainmentCtx(ctx context.Context, k apps.Kernel, np, iters, ckptEvery int, assign []int, failWhen failure.Trigger, model netmodel.Model, newStore func(*rollback.Topology) (checkpoint.Store, error)) ([]E4Row, error) {
 	var rows []E4Row
 	sched := func() *failure.Schedule {
 		return failure.NewSchedule(failure.Event{
@@ -329,6 +328,14 @@ type E5Row struct {
 	CkptBytes int64
 }
 
+// sharedStore builds one in-memory store of bps bytes/second per run,
+// shared by every cluster.
+func sharedStore(bps float64) func(*rollback.Topology) (checkpoint.Store, error) {
+	return func(*rollback.Topology) (checkpoint.Store, error) {
+		return checkpoint.NewMemStore(bps, bps), nil
+	}
+}
+
 // CheckpointBurst runs the kernel with all clusters checkpointing at once
 // (coordinated baseline) and with HydEE's per-cluster staggered schedule,
 // under a shared store of storeBPS bytes/second.
@@ -348,7 +355,7 @@ func CheckpointBurst(k apps.Kernel, np, iters, ckptEvery int, assign []int, stor
 			Kernel: k, Params: apps.Params{NP: np, Iters: iters},
 			Proto: cs.proto, Assign: assign,
 			CheckpointEvery: ckptEvery, Stagger: cs.stagger,
-			StoreWriteBPS: storeBPS, StoreReadBPS: storeBPS,
+			NewStore: sharedStore(storeBPS),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("e5: %s: %w", cs.name, err)
@@ -376,14 +383,17 @@ func CheckpointBurstSharded(ctx context.Context, k apps.Kernel, np, iters, ckptE
 	if shards < 2 {
 		return nil, fmt.Errorf("e5-sharded: need at least 2 shards, got %d", shards)
 	}
+	sharded := func(topo *rollback.Topology) (checkpoint.Store, error) {
+		return checkpoint.NewShardedStore(shards, storeBPS, storeBPS, topo.Placement(shards)), nil
+	}
 	cases := []struct {
-		name    string
-		stagger bool
-		shards  int
+		name     string
+		stagger  bool
+		newStore func(*rollback.Topology) (checkpoint.Store, error)
 	}{
-		{"hydee-shared", false, 0},
-		{"hydee-staggered", true, 0},
-		{fmt.Sprintf("hydee-sharded:%d", shards), false, shards},
+		{"hydee-shared", false, sharedStore(storeBPS)},
+		{"hydee-staggered", true, sharedStore(storeBPS)},
+		{fmt.Sprintf("hydee-sharded:%d", shards), false, sharded},
 	}
 	var rows []E5Row
 	for _, cs := range cases {
@@ -391,8 +401,7 @@ func CheckpointBurstSharded(ctx context.Context, k apps.Kernel, np, iters, ckptE
 			Kernel: k, Params: apps.Params{NP: np, Iters: iters},
 			Proto: ProtoHydEE, Assign: assign, Model: model,
 			CheckpointEvery: ckptEvery, Stagger: cs.stagger,
-			StoreWriteBPS: storeBPS, StoreReadBPS: storeBPS,
-			StoreShards: cs.shards,
+			NewStore: cs.newStore,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("e5-sharded: %s: %w", cs.name, err)

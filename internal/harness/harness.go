@@ -72,29 +72,19 @@ type Spec struct {
 	Proto  Proto
 	// Assign is the cluster assignment (ProtoHydEE only).
 	Assign []int
-	// Model is the network model; nil uses Myrinet10G.
+	// Model is the network model; nil takes the runtime default
+	// (Myrinet10G, set in mpi.Config).
 	Model netmodel.Model
 	// CheckpointEvery / Stagger configure the checkpoint schedule.
 	CheckpointEvery int
 	Stagger         bool
 	// Failures is the fail-stop schedule.
 	Failures *failure.Schedule
-	// StoreWriteBPS / StoreReadBPS model stable storage bandwidth
-	// (0 = free storage; per shard when StoreShards > 1).
-	StoreWriteBPS, StoreReadBPS float64
-	// StoreShards > 1 shards the checkpoint store with per-cluster
-	// placement: each cluster's checkpoints land on shard
-	// cluster % StoreShards with independent bandwidth contention.
-	StoreShards int
-	// NewStore, when non-nil, overrides the store construction entirely
-	// (it sees the resolved topology so placements can follow clusters).
-	// Every run must get a fresh store, or sequential runs bleed state.
-	NewStore func(topo *rollback.Topology) checkpoint.Store
-	// NewStoreE is NewStore for constructors that can fail: a store
-	// resolved by name from a flag or a wire spec fails the run with a
-	// typed error instead of forcing the caller to panic inside NewStore.
-	// NewStore wins when both are set.
-	NewStoreE func(topo *rollback.Topology) (checkpoint.Store, error)
+	// NewStore builds the run's checkpoint store; it sees the resolved
+	// topology so placements can follow clusters. Every run must get a
+	// fresh store, or sequential runs bleed state. nil uses the runtime
+	// default: a free in-memory store.
+	NewStore func(topo *rollback.Topology) (checkpoint.Store, error)
 	// Recorder optionally records application-level events.
 	Recorder *trace.Recorder
 	// Watchdog overrides the deadlock guard.
@@ -127,35 +117,19 @@ func (s *Spec) topoAndProtocol() (*rollback.Topology, rollback.Protocol, error) 
 	case ProtoCoord:
 		return rollback.SingleCluster(np), coord.New(), nil
 	case ProtoMLog:
-		return rollback.Singletons(np), core.NewWithOptions(core.Options{
-			Name:            "mlog",
-			ExtraPiggyBytes: 8, // determinant id piggybacked per message
-		}), nil
+		return rollback.Singletons(np), core.NewMessageLogging(), nil
 	case ProtoHydEE:
 		if len(s.Assign) != np {
 			return nil, nil, fmt.Errorf("harness: hydee needs a cluster assignment covering %d ranks (got %d)", np, len(s.Assign))
 		}
-		return rollback.NewTopology(s.Assign), core.New(), nil
+		topo, err := rollback.ParseTopology(s.Assign)
+		if err != nil {
+			return nil, nil, fmt.Errorf("harness: hydee: %w", err)
+		}
+		return topo, core.New(), nil
 	default:
 		return nil, nil, fmt.Errorf("harness: unknown proto %d", int(s.Proto))
 	}
-}
-
-// makeStore builds the run's checkpoint store from the spec: an explicit
-// constructor, a cluster-placed sharded store, or the default shared
-// in-memory store.
-func (s *Spec) makeStore(topo *rollback.Topology) (checkpoint.Store, error) {
-	if s.NewStore != nil {
-		return s.NewStore(topo), nil
-	}
-	if s.NewStoreE != nil {
-		return s.NewStoreE(topo)
-	}
-	if n := s.StoreShards; n > 1 {
-		return checkpoint.NewShardedStore(n, s.StoreWriteBPS, s.StoreReadBPS,
-			func(rank int) int { return topo.ClusterOf[rank] % n }), nil
-	}
-	return checkpoint.NewMemStore(s.StoreWriteBPS, s.StoreReadBPS), nil
 }
 
 // Run executes the spec.
@@ -166,9 +140,6 @@ func RunCtx(ctx context.Context, s Spec) (*Summary, error) {
 	if s.Params.NP <= 0 {
 		return nil, fmt.Errorf("harness: NP must be positive")
 	}
-	if s.Model == nil {
-		s.Model = netmodel.Myrinet10G()
-	}
 	topo, prot, err := s.topoAndProtocol()
 	if err != nil {
 		return nil, err
@@ -177,9 +148,11 @@ func RunCtx(ctx context.Context, s Spec) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := s.makeStore(topo)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", s.Kernel.Name, s.Proto, err)
+	var store checkpoint.Store
+	if s.NewStore != nil {
+		if store, err = s.NewStore(topo); err != nil {
+			return nil, fmt.Errorf("harness: %s/%s: %w", s.Kernel.Name, s.Proto, err)
+		}
 	}
 	res, err := mpi.RunContext(ctx, mpi.Config{
 		NP:                s.Params.NP,

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"hydee/internal/apps"
+	"hydee/internal/checkpoint"
 	"hydee/internal/failure"
+	"hydee/internal/rollback"
 )
 
 // TestE5ShardedSweepReproducible runs the sharded burst sweep twice and
@@ -91,7 +93,9 @@ func TestShardedStoreRunReproducible(t *testing.T) {
 		return Spec{
 			Kernel: k, Params: apps.Params{NP: 16, Iters: 8},
 			Proto: ProtoHydEE, Assign: assign, CheckpointEvery: 3,
-			StoreWriteBPS: 4e9, StoreReadBPS: 4e9, StoreShards: 4,
+			NewStore: func(topo *rollback.Topology) (checkpoint.Store, error) {
+				return checkpoint.NewShardedStore(4, 4e9, 4e9, topo.Placement(4)), nil
+			},
 			Failures: failure.NewSchedule(failure.Event{
 				Ranks: []int{8},
 				When:  failure.Trigger{AfterSends: 44},

@@ -69,8 +69,8 @@ type e6Config struct {
 	// lose is how many shards the faulted run kills.
 	lose int
 	// mk builds a fresh healthy store for one run, placing clusters
-	// like the run harness does (cluster id modulo shard count).
-	mk func(topo *rollback.Topology, bps float64) checkpoint.Store
+	// like the run harness does (Topology.Placement).
+	mk func(topo *rollback.Topology, bps float64) (checkpoint.Store, error)
 }
 
 // e6Configs are the four layouts E6 compares, at equal per-target
@@ -79,29 +79,18 @@ type e6Config struct {
 // redundant layouts lose two targets; the shared store has only one to
 // lose.
 func e6Configs() []e6Config {
-	place := func(topo *rollback.Topology, n int) func(rank int) int {
-		return func(rank int) int { return topo.ClusterOf[rank] % n }
-	}
 	return []e6Config{
-		{name: "shared", lose: 1, mk: func(_ *rollback.Topology, bps float64) checkpoint.Store {
-			return checkpoint.NewMemStore(bps, bps)
+		{name: "shared", lose: 1, mk: func(_ *rollback.Topology, bps float64) (checkpoint.Store, error) {
+			return checkpoint.NewMemStore(bps, bps), nil
 		}},
-		{name: "sharded:6", lose: 2, mk: func(topo *rollback.Topology, bps float64) checkpoint.Store {
-			return checkpoint.NewShardedStore(6, bps, bps, place(topo, 6))
+		{name: "sharded:6", lose: 2, mk: func(topo *rollback.Topology, bps float64) (checkpoint.Store, error) {
+			return checkpoint.NewShardedStore(6, bps, bps, topo.Placement(6)), nil
 		}},
-		{name: "ec:4+2", lose: 2, mk: func(topo *rollback.Topology, bps float64) checkpoint.Store {
-			st, err := checkpoint.NewECStore(4, 2, bps, bps, place(topo, 6))
-			if err != nil {
-				panic(err) // static geometry; cannot fail
-			}
-			return st
+		{name: "ec:4+2", lose: 2, mk: func(topo *rollback.Topology, bps float64) (checkpoint.Store, error) {
+			return checkpoint.NewECStore(4, 2, bps, bps, topo.Placement(6))
 		}},
-		{name: "replica:3", lose: 2, mk: func(topo *rollback.Topology, bps float64) checkpoint.Store {
-			st, err := checkpoint.NewReplicatedStore(3, bps, bps, place(topo, 3))
-			if err != nil {
-				panic(err) // static geometry; cannot fail
-			}
-			return st
+		{name: "replica:3", lose: 2, mk: func(topo *rollback.Topology, bps float64) (checkpoint.Store, error) {
+			return checkpoint.NewReplicatedStore(3, bps, bps, topo.Placement(3))
 		}},
 	}
 }
@@ -127,18 +116,18 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 			Proto: ProtoHydEE, Assign: assign, Model: netmodel.Myrinet10G(),
 			CheckpointEvery: ckptEvery,
 		}
-		mkSpec := func(store checkpoint.Store, failures *failure.Schedule) Spec {
+		mkSpec := func(newStore func(*rollback.Topology) (checkpoint.Store, error), failures *failure.Schedule) Spec {
 			s := base
-			s.NewStore = func(*rollback.Topology) checkpoint.Store { return store }
-			s.Failures = failures
+			s.NewStore, s.Failures = newStore, failures
 			return s
 		}
+		// healthy builds a fresh, unfaulted store of the layout per run.
+		healthy := func(topo *rollback.Topology) (checkpoint.Store, error) { return cfg.mk(topo, storeBPS) }
 		topo := rollback.NewTopology(assign)
 
 		// 1. Failure-free baseline: clean makespan, digests, and the
 		// layout's physical storage bill.
-		cleanStore := cfg.mk(topo, storeBPS)
-		clean, err := RunCtx(ctx, mkSpec(cleanStore, nil))
+		clean, err := RunCtx(ctx, mkSpec(healthy, nil))
 		if err != nil {
 			return nil, fmt.Errorf("e6: %s clean: %w", cfg.name, err)
 		}
@@ -146,7 +135,7 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 		// 2. Probe: the same rank failure on healthy storage pins down
 		// the recovery round's start in virtual time (deterministic, so
 		// it transfers to the faulted run below).
-		probe, err := RunCtx(ctx, mkSpec(cfg.mk(topo, storeBPS), fail()))
+		probe, err := RunCtx(ctx, mkSpec(healthy, fail()))
 		if err != nil {
 			return nil, fmt.Errorf("e6: %s probe: %w", cfg.name, err)
 		}
@@ -163,7 +152,10 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 
 		// 3. The same run with the victim cluster's storage targets
 		// killed mid-recovery.
-		store := cfg.mk(topo, storeBPS)
+		store, err := cfg.mk(topo, storeBPS)
+		if err != nil {
+			return nil, fmt.Errorf("e6: %s: %w", cfg.name, err)
+		}
 		n := 1
 		if sc, ok := store.(shardCounter); ok {
 			n = sc.NumShards()
@@ -175,7 +167,7 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 		faults := make([]checkpoint.ShardFault, lost)
 		for i := range faults {
 			faults[i] = checkpoint.ShardFault{
-				Shard: (topo.ClusterOf[victim]%n + i) % n,
+				Shard: (topo.Placement(n)(victim) + i) % n,
 				AtVT:  faultVT,
 				Kind:  checkpoint.FaultKill,
 			}
@@ -191,7 +183,7 @@ func StoreFaultSweep(ctx context.Context, k apps.Kernel, np, iters, ckptEvery in
 			CleanVT:   clean.Makespan,
 			PhysBytes: clean.Store.SavedBytes,
 		}
-		faulted, err := RunCtx(ctx, mkSpec(faulty, fail()))
+		faulted, err := RunCtx(ctx, mkSpec(func(*rollback.Topology) (checkpoint.Store, error) { return faulty, nil }, fail()))
 		switch {
 		case err == nil:
 			if err := SameDigests(clean, faulted); err != nil {

@@ -28,7 +28,10 @@ type Program func(c *Comm) error
 type Config struct {
 	// NP is the number of application processes.
 	NP int
-	// Model is the network cost model; nil defaults to netmodel.Ideal().
+	// Model is the network cost model; nil defaults to
+	// netmodel.Myrinet10G(), the paper's testbed. This is the one place a
+	// nil model is defaulted: the Engine, the harness and the wire form
+	// all leave it nil to get the same model.
 	Model netmodel.Model
 	// Topo is the process clustering; nil defaults to a single cluster.
 	Topo *rollback.Topology
@@ -87,7 +90,7 @@ func (cfg *Config) normalize() error {
 		return fmt.Errorf("mpi: Watchdog must be >= 0, got %v", cfg.Watchdog)
 	}
 	if cfg.Model == nil {
-		cfg.Model = netmodel.Ideal()
+		cfg.Model = netmodel.Myrinet10G()
 	}
 	if cfg.Topo == nil {
 		cfg.Topo = rollback.SingleCluster(cfg.NP)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hydee/internal/failure"
+	"hydee/internal/netmodel"
 	"hydee/internal/rollback"
 )
 
@@ -43,7 +44,7 @@ func TestNormalizeAppliesDefaults(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Model == nil || cfg.Model.Name() != "ideal" {
+	if cfg.Model == nil || cfg.Model.Name() != netmodel.Myrinet10G().Name() {
 		t.Errorf("Model default: %+v", cfg.Model)
 	}
 	if cfg.Topo == nil || cfg.Topo.NP != 4 || cfg.Topo.K() != 1 {

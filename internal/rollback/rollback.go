@@ -53,6 +53,20 @@ func NewTopology(assign []int) *Topology {
 	return t
 }
 
+// ParseTopology builds a topology from an untrusted cluster assignment
+// (wire or flag input): where NewTopology panics on a negative cluster
+// id, it returns an error, and it rejects an assignment that leaves a
+// cluster empty.
+func ParseTopology(assign []int) (*Topology, error) {
+	for r, c := range assign {
+		if c < 0 {
+			return nil, fmt.Errorf("rollback: rank %d has negative cluster id %d", r, c)
+		}
+	}
+	t := NewTopology(assign)
+	return t, t.Validate()
+}
+
 // SingleCluster puts all np ranks in one cluster (coordinated baseline).
 func SingleCluster(np int) *Topology {
 	assign := make([]int, np)
@@ -70,6 +84,14 @@ func Singletons(np int) *Topology {
 
 // K reports the number of clusters.
 func (t *Topology) K() int { return len(t.Members) }
+
+// Placement maps each rank to the storage shard of its cluster (cluster
+// id modulo shards; shards < 1 means one shard): the clusters that
+// checkpoint together land on distinct storage targets.
+func (t *Topology) Placement(shards int) func(rank int) int {
+	shards = max(shards, 1)
+	return func(rank int) int { return t.ClusterOf[rank] % shards }
+}
 
 // SameCluster reports whether two ranks share a cluster.
 func (t *Topology) SameCluster(a, b int) bool { return t.ClusterOf[a] == t.ClusterOf[b] }

@@ -453,3 +453,32 @@ func TestRegistryEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestBadAssignRejectedAndServerKeepsServing: a wire spec whose cluster
+// assignment or checkpoint interval cannot run is a 400 at submit time —
+// it never reaches a worker goroutine, where a panic would take the whole
+// process down — and the server serves the next job normally.
+func TestBadAssignRejectedAndServerKeepsServing(t *testing.T) {
+	srv := newTestServer(t, server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, run := range []string{
+		`{"app":"cg","np":4,"assign":[0,0,-1,-1]}`,
+		`{"app":"cg","np":4,"assign":[0,0,2,2]}`,
+		`{"app":"cg","np":4,"clusters":2,"ckpt":-1}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"runs":[`+run+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", run, resp.StatusCode)
+		}
+	}
+	good := submitHTTP(t, ts, server.JobRequest{Runs: []hydee.SweepSpec{{App: "cg", NP: 4, Assign: []int{0, 0, 1, 1}}}})
+	if v := waitDone(t, srv, good.ID); v.State != server.StateDone {
+		t.Errorf("next job: state %s, want done", v.State)
+	}
+}

@@ -73,6 +73,18 @@ func (o StoreOptions) totalShards() int {
 	}
 }
 
+// buildStore runs a store factory for one run. A composite store (sharded,
+// ec, replica) with no explicit placement places each cluster of topo on
+// its own shard — for ec, the base shard of the cluster's fragment group;
+// for replica, the cluster's home replica. topo may be nil for
+// unclustered runs.
+func buildStore(mk StoreFactory, opts StoreOptions, topo *Topology) (Store, error) {
+	if n := opts.totalShards(); opts.Placement == nil && n > 1 && topo != nil {
+		opts.Placement = ClusterPlacement(topo, n)
+	}
+	return mk(opts)
+}
+
 // StoreFactory builds a Store from options — the common constructor
 // signature RegisterStore expects. Each call must return a fresh,
 // independent store.
@@ -177,7 +189,7 @@ func NewShardedStore(n int, writeBPS, readBPS float64, place func(rank int) int)
 // ... Reopening with n == 0 infers the shard count from the layout;
 // snapshots saved before the reopen stay loadable. Also reachable as
 // WithStoreName("sharded", StoreOptions{Dir: ..., Shards: n}) and
-// `-store sharded:n -store-dir dir` in hydee-recover.
+// `-store sharded:n -store-dir dir` in `hydee recover`.
 func NewShardedFileStore(dir string, n int, writeBPS, readBPS float64, place func(rank int) int) (Store, error) {
 	return checkpoint.NewShardedFileStore(dir, n, writeBPS, readBPS, place)
 }
@@ -249,12 +261,7 @@ func NewFaultyStore(inner Store, faults ...ShardFault) (*FaultyStore, error) {
 // ClusterPlacement places each rank on the shard of its cluster (cluster
 // id modulo shards): the clusters that checkpoint together — and would
 // otherwise burst on one shared link — land on distinct storage targets.
-func ClusterPlacement(t *Topology, shards int) func(rank int) int {
-	if shards < 1 {
-		shards = 1
-	}
-	return func(rank int) int { return t.ClusterOf[rank] % shards }
-}
+func ClusterPlacement(t *Topology, shards int) func(rank int) int { return t.Placement(shards) }
 
 // StoreSpecForms documents the -store spec grammar ParseStoreSpec
 // accepts, for flag help and error messages.

@@ -5,9 +5,11 @@ import (
 	"flag"
 	"fmt"
 	"strings"
+
+	"hydee/internal/rollback"
 )
 
-// Shared run-selection specs. The cmd binaries' -store/-store-bps/
+// Shared run-selection specs. The hydee command's -store/-store-bps/
 // -store-dir and -events/-exporter flags and the hydee-serve HTTP API
 // decode the exact same compact forms through the types below, so a spec
 // that works on a command line works verbatim in a job submission (and
@@ -43,47 +45,42 @@ func (s *StoreSpec) Bind(fs *flag.FlagSet) {
 		"snapshot directory for -store file (runs reuse it; same-sequence files are overwritten)")
 }
 
-// options resolves the spec into a registry name and StoreOptions.
-func (s StoreSpec) options() (string, StoreOptions, error) {
+// resolve resolves the spec into its registry factory and StoreOptions.
+func (s StoreSpec) resolve() (StoreFactory, StoreOptions, error) {
 	spec := s.Spec
 	if strings.TrimSpace(spec) == "" {
 		spec = "mem"
 	}
 	name, opts, err := ParseStoreSpec(spec)
 	if err != nil {
-		return "", StoreOptions{}, err
+		return nil, StoreOptions{}, err
+	}
+	mk, err := storeRegistry.lookup(name)
+	if err != nil {
+		return nil, StoreOptions{}, err
 	}
 	opts.WriteBPS, opts.ReadBPS = s.BPS, s.BPS
 	opts.Dir = s.Dir
-	return name, opts, nil
+	return mk, opts, nil
 }
 
 // Probe validates the spec eagerly — the name resolves and the factory
 // accepts the options — so a typo fails at startup or submission time,
 // not inside the first run of a sweep.
 func (s StoreSpec) Probe() error {
-	name, opts, err := s.options()
-	if err != nil {
-		return err
-	}
-	_, err = StoreByName(name, opts)
+	_, err := s.New(nil)
 	return err
 }
 
-// New builds a fresh store for one run. A composite spec (sharded, ec,
-// replica) with no explicit placement places each cluster of topo on its
-// own shard — for ec, the base shard of the cluster's fragment group;
-// for replica, the cluster's home replica. topo may be nil for
-// unclustered runs.
+// New builds a fresh store for one run, placing each cluster of topo on
+// its own shard of a composite store (see buildStore). topo may be nil
+// for unclustered runs. Its signature is ExperimentSpec.NewStore's.
 func (s StoreSpec) New(topo *Topology) (Store, error) {
-	name, opts, err := s.options()
+	mk, opts, err := s.resolve()
 	if err != nil {
 		return nil, err
 	}
-	if n := opts.totalShards(); n > 1 && topo != nil {
-		opts.Placement = ClusterPlacement(topo, n)
-	}
-	return StoreByName(name, opts)
+	return buildStore(mk, opts, topo)
 }
 
 // EventStreamSpec is the flag/wire form of the -events/-exporter pair:
@@ -131,9 +128,9 @@ func (s EventStreamSpec) Wire(ctx context.Context) (context.Context, func() erro
 
 // SweepSpec is the wire form of one experiment run — what one element of
 // a hydee-serve job submission decodes to, with every backend selected by
-// registry name. The same resolution backs the cmd binaries' flags, so a
-// JSON spec and a flag spelling of the same run are literally the same
-// configuration.
+// registry name. The same StoreSpec and EventStreamSpec back the hydee
+// command's flags, so a JSON spec and a flag spelling of the same run are
+// literally the same configuration.
 type SweepSpec struct {
 	// App is the kernel name ("bt", "cg", "ft", "lu", "mg", "sp").
 	App string `json:"app"`
@@ -179,6 +176,9 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	case iters < 0:
 		return spec, fmt.Errorf("hydee: sweep spec: iters must be positive (got %d)", iters)
 	}
+	if s.CheckpointEvery < 0 {
+		return spec, fmt.Errorf("hydee: sweep spec: ckpt must be >= 0 (got %d)", s.CheckpointEvery)
+	}
 	kernel, err := KernelByName(s.App)
 	if err != nil {
 		return spec, err
@@ -203,6 +203,9 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 		case len(s.Assign) > 0:
 			if len(s.Assign) != s.NP {
 				return spec, fmt.Errorf("hydee: sweep spec: assign covers %d ranks, np is %d", len(s.Assign), s.NP)
+			}
+			if _, err := rollback.ParseTopology(s.Assign); err != nil {
+				return spec, fmt.Errorf("hydee: sweep spec: %w", err)
 			}
 			spec.Assign = append([]int(nil), s.Assign...)
 		case s.Clusters > 0:
@@ -239,8 +242,7 @@ func (s SweepSpec) Experiment() (ExperimentSpec, error) {
 	if err := s.StoreSpec.Probe(); err != nil {
 		return spec, err
 	}
-	store := s.StoreSpec
-	spec.NewStoreE = func(topo *Topology) (Store, error) { return store.New(topo) }
+	spec.NewStore = s.StoreSpec.New
 	return spec, nil
 }
 

@@ -33,9 +33,9 @@ func TestSweepSpecResolves(t *testing.T) {
 	if len(spec.Assign) != 16 || spec.Assign[0] != 0 || spec.Assign[15] != 3 {
 		t.Errorf("clusters shorthand: assign %v", spec.Assign)
 	}
-	if spec.Failures == nil || spec.Model == nil || spec.NewStoreE == nil {
+	if spec.Failures == nil || spec.Model == nil || spec.NewStore == nil {
 		t.Errorf("missing resolution: failures=%v model=%v store=%v",
-			spec.Failures != nil, spec.Model != nil, spec.NewStoreE != nil)
+			spec.Failures != nil, spec.Model != nil, spec.NewStore != nil)
 	}
 	// The resolved spec actually runs, store and all.
 	sum, err := hydee.RunExperiments(context.Background(), []hydee.ExperimentSpec{spec}, 1)
@@ -60,6 +60,9 @@ func TestSweepSpecRejects(t *testing.T) {
 		{"hydee without clustering", hydee.SweepSpec{App: "cg", NP: 8}, "assign"},
 		{"assign size", hydee.SweepSpec{App: "cg", NP: 8, Assign: []int{0, 1}}, "assign"},
 		{"too many clusters", hydee.SweepSpec{App: "cg", NP: 4, Clusters: 8}, "clusters"},
+		{"negative cluster id", hydee.SweepSpec{App: "cg", NP: 4, Assign: []int{0, 0, -1, -1}}, "negative cluster id"},
+		{"gapped assign", hydee.SweepSpec{App: "cg", NP: 4, Assign: []int{0, 0, 2, 2}}, "empty cluster"},
+		{"negative ckpt", hydee.SweepSpec{App: "cg", NP: 4, Clusters: 2, CheckpointEvery: -1}, "ckpt"},
 		{"bad failure spec", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", FailAt: "moon:full"}, "moon"},
 		{"failure rank out of range", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native", FailAt: "ckpts:1@99"}, "99"},
 		{"bad store", hydee.SweepSpec{App: "cg", NP: 8, Proto: "native",
@@ -79,6 +82,78 @@ func TestSweepSpecRejects(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "run 1") {
 		t.Errorf("batch error %v, want it to name run 1", err)
+	}
+}
+
+// TestExperimentSpecRejectsBadAssign runs specs that bypass SweepSpec's
+// validation straight through the worker pool: a bad assignment is a
+// typed error, never a panic in a worker goroutine.
+func TestExperimentSpecRejectsBadAssign(t *testing.T) {
+	cg, err := hydee.KernelByName("cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, assign := range [][]int{{0, 0, -1, -1}, {0, 0, 2, 2}} {
+		spec := hydee.ExperimentSpec{Kernel: cg, Params: hydee.KernelParams{NP: 4, Iters: 1},
+			Proto: hydee.ProtoHydEE, Assign: assign}
+		if _, err := hydee.RunExperiments(context.Background(), []hydee.ExperimentSpec{spec}, 1); err == nil {
+			t.Errorf("assign %v accepted", assign)
+		}
+	}
+}
+
+// TestDefaultModelAgreesAcrossSurfaces runs one cg configuration through
+// the three run descriptions, none of which names a network model: an
+// Engine, an ExperimentSpec with a nil Model and a SweepSpec with an empty
+// Net. All three must take the same default and report the same makespan.
+func TestDefaultModelAgreesAcrossSurfaces(t *testing.T) {
+	const np, iters = 8, 3
+	ctx := context.Background()
+	cg, err := hydee.KernelByName("cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := []int{0, 0, 0, 0, 1, 1, 1, 1}
+
+	prog, err := cg.Make(hydee.KernelParams{NP: np, Iters: iters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := hydee.New(hydee.WithTopology(hydee.NewTopology(assign)), hydee.WithProtocol(hydee.HydEE()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(ctx, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec := hydee.ExperimentSpec{Kernel: cg, Params: hydee.KernelParams{NP: np, Iters: iters},
+		Proto: hydee.ProtoHydEE, Assign: assign}
+	sweep, err := hydee.SweepSpec{App: "cg", NP: np, Iters: iters, Proto: "hydee", Assign: assign}.Experiment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums, err := hydee.RunExperiments(ctx, []hydee.ExperimentSpec{spec, sweep}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sums[0].Makespan != res.Makespan || sums[1].Makespan != res.Makespan {
+		t.Errorf("makespans differ: engine %v, ExperimentSpec %v, SweepSpec %v",
+			res.Makespan, sums[0].Makespan, sums[1].Makespan)
+	}
+	// The shared default is the paper's testbed, not the ideal network.
+	myri, err := hydee.New(hydee.WithTopology(hydee.NewTopology(assign)), hydee.WithProtocol(hydee.HydEE()),
+		hydee.WithModel(hydee.Myrinet10G()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := myri.Run(ctx, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Makespan != res.Makespan {
+		t.Errorf("default makespan %v, Myrinet10G %v", res.Makespan, want.Makespan)
 	}
 }
 
